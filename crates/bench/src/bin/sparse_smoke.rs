@@ -5,32 +5,24 @@
 //! cargo run --release -p rl-bench --bin sparse_smoke
 //! ```
 //!
-//! Exercises the preconditioned / warm-started / batched kernels end to
-//! end on the metro ladder and enforces four budgets:
+//! Exercises the warm-started / batched kernels end to end on the metro
+//! ladder and enforces three budgets:
 //!
-//! 1. **PCG iteration gate** — IC(0)-preconditioned CG on the
-//!    metro-1000 Gauss–Newton refinement normal equations (assembled at
-//!    a drifted iterate, default Tikhonov damping, tight `1e-10`
-//!    tolerance) must use at most **half** the iterations of
-//!    unpreconditioned CG, and both solves must agree on the solution.
-//! 2. **Warm-start gate** — warm-started refinement
-//!    ([`DistributedConfig::metro_fast`]-style) at metro-1000 must spend
-//!    no more cumulative CG iterations than the default zero-started
-//!    path and land at the same refined stress (the never-worse
-//!    contract).
-//! 3. **metro-2500 wall gates** — the new 2,500-node preset rung must
-//!    finish sparse MDS-MAP and drifted refinement inside their wall
-//!    budgets (a dense or quadratic regression costs minutes here).
-//! 4. **Stats plumbing** — a distributed-LSS solve with the
-//!    [`DistributedConfig::metro_fast`] preset must report
+//! 1. **Warm-start gate** — warm-started refinement
+//!    ([`RefineConfig::cg_warm_start`]) at metro-1000 must spend no more
+//!    cumulative CG iterations than the default zero-started path and
+//!    land at the same refined stress (the never-worse contract).
+//! 2. **metro-2500 wall gates** — the 2,500-node preset rung must finish
+//!    sparse MDS-MAP and drifted refinement inside their wall budgets (a
+//!    dense or quadratic regression costs minutes here).
+//! 3. **Stats plumbing** — a distributed-LSS solve with the served
+//!    [`DistributedConfig::metro`] preset must report
 //!    `SolveStats::cg_iterations` (the concrete consumer of the
 //!    promoted counter).
 //!
 //! Every measurement is also written to `BENCH_sparse.json`
 //! (machine-readable, uploaded as a CI artifact), so the kernel-layer
 //! perf trajectory is recorded on every run.
-//!
-//! [`DistributedConfig::metro_fast`]: rl_core::distributed::DistributedConfig::metro_fast
 
 use std::time::{Duration, Instant};
 
@@ -42,18 +34,8 @@ use rl_core::problem::{Localizer, SolverBackend};
 use rl_core::types::PositionMap;
 use rl_deploy::presets;
 use rl_geom::Point2;
-use rl_math::sparse::cg::{
-    conjugate_gradient_with, CgConfig, CgWorkspace, IncompleteCholesky, Preconditioner,
-};
-use rl_math::sparse::CsrMatrix;
 use rl_net::NodeId;
-use rl_ranging::MeasurementSet;
 use serde::Serialize;
-
-/// IC(0)-PCG must use at most `1/PCG_MIN_REDUCTION` of plain CG's
-/// iterations on the metro-1000 normal equations (measured ~2.4x on the
-/// reference machine).
-const PCG_MIN_REDUCTION: usize = 2;
 
 /// Wall budget for sparse MDS-MAP on the metro-2500 rung (~3.5 s on the
 /// reference machine; the margin absorbs slow shared CI runners).
@@ -62,11 +44,6 @@ const MDS_2500_WALL_BUDGET: Duration = Duration::from_secs(120);
 /// Wall budget for drifted Gauss–Newton refinement on the metro-2500
 /// rung (~100 ms on the reference machine).
 const REFINE_2500_WALL_BUDGET: Duration = Duration::from_secs(60);
-
-/// Tolerance for the tight assembled-system solves: loose enough to
-/// converge, tight enough that preconditioning quality dominates the
-/// iteration count.
-const TIGHT_TOLERANCE: f64 = 1e-10;
 
 /// One gate's record in `BENCH_sparse.json`.
 #[derive(Debug, Serialize)]
@@ -81,14 +58,12 @@ struct GateRecord {
 #[derive(Debug, Serialize)]
 struct BenchReport {
     seed: u64,
-    plain_cg_iterations: usize,
-    ic0_cg_iterations: usize,
     refine_default_cg_iterations: usize,
     refine_warm_cg_iterations: usize,
     mds_1000_wall_ms: f64,
     mds_2500_wall_ms: f64,
     refine_2500_wall_ms: f64,
-    distributed_fast_cg_iterations: Option<usize>,
+    distributed_cg_iterations: Option<usize>,
     gates: Vec<GateRecord>,
 }
 
@@ -107,45 +82,6 @@ fn drifted(truth: &[Point2], scale: f64) -> PositionMap {
         );
     }
     positions
-}
-
-/// Assembles the damped Gauss–Newton normal equations `(JᵀWJ + λI)`
-/// and gradient `−JᵀWr` of the stress objective at `positions`, in the
-/// refinement layout (`[x coords; y coords]`, `2n × 2n`). Each edge
-/// contributes the rank-1 block `w·ggᵀ` over `(xᵢ, yᵢ, xⱼ, yⱼ)` with
-/// `g = (ux, uy, −ux, −uy)`.
-fn assemble_normal_equations(
-    set: &MeasurementSet,
-    positions: &PositionMap,
-    lambda: f64,
-) -> (CsrMatrix, Vec<f64>) {
-    let n = set.node_count();
-    let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-    let mut rhs = vec![0.0; 2 * n];
-    for i in 0..2 * n {
-        triplets.push((i, i, lambda));
-    }
-    for (a, b, d, w) in set.iter_weighted() {
-        let (i, j) = (a.index(), b.index());
-        let (pi, pj) = (
-            positions.get(a).expect("drifted map is complete"),
-            positions.get(b).expect("drifted map is complete"),
-        );
-        let (dx, dy) = (pi.x - pj.x, pi.y - pj.y);
-        let dist = (dx * dx + dy * dy).sqrt().max(1e-9);
-        let (ux, uy) = (dx / dist, dy / dist);
-        let residual = dist - d;
-        let idx = [i, n + i, j, n + j];
-        let g = [ux, uy, -ux, -uy];
-        for p in 0..4 {
-            for q in 0..4 {
-                triplets.push((idx[p], idx[q], w * g[p] * g[q]));
-            }
-            rhs[idx[p]] -= w * g[p] * residual;
-        }
-    }
-    let a = CsrMatrix::from_triplets(2 * n, 2 * n, &triplets).expect("finite, in-bounds triplets");
-    (a, rhs)
 }
 
 fn main() {
@@ -167,71 +103,7 @@ fn main() {
     let truth_1000 = problem_1000.truth_required().expect("metro has truth");
     let set_1000 = problem_1000.measurements();
 
-    // Gate 1: IC(0)-PCG vs plain CG on the assembled metro-1000
-    // refinement normal equations, solved tight. λ is the refinement
-    // default (`RefineConfig::default().tikhonov`).
-    let (a, b) = assemble_normal_equations(set_1000, &drifted(truth_1000, 12.0), 1e-2);
-    let cfg = CgConfig::default()
-        .with_max_iterations(20_000)
-        .with_tolerance(TIGHT_TOLERANCE);
-    let mut ws = CgWorkspace::new();
-    let plain =
-        conjugate_gradient_with(&a, &b, None, None, &cfg, &mut ws).expect("plain CG converges");
-    let ic = IncompleteCholesky::factor(&a).expect("SPD normal equations factor");
-    let pcg = conjugate_gradient_with(
-        &a,
-        &b,
-        None,
-        Some(&ic as &dyn Preconditioner),
-        &cfg,
-        &mut ws,
-    )
-    .expect("IC(0)-PCG converges");
-    let scale = plain.x.iter().map(|v| v.abs()).fold(1.0, f64::max);
-    let max_diff = plain
-        .x
-        .iter()
-        .zip(&pcg.x)
-        .map(|(p, q)| (p - q).abs())
-        .fold(0.0, f64::max);
-    println!(
-        "metro-1000 normal equations ({}x{}, nnz {}): plain CG {} iters, IC(0)-PCG {} iters, \
-         solution agreement {:.2e}",
-        a.rows(),
-        a.cols(),
-        ic.nnz(),
-        plain.iterations,
-        pcg.iterations,
-        max_diff / scale,
-    );
-    if !gate(
-        "pcg-iteration-reduction",
-        plain.iterations as f64 / pcg.iterations.max(1) as f64,
-        PCG_MIN_REDUCTION as f64,
-        pcg.iterations * PCG_MIN_REDUCTION <= plain.iterations,
-    ) {
-        eprintln!(
-            "PCG GATE FAILED: IC(0) used {} iterations vs plain {} — less than the required \
-             {PCG_MIN_REDUCTION}x reduction; the preconditioner has regressed",
-            pcg.iterations, plain.iterations
-        );
-        failed = true;
-    }
-    if !gate(
-        "pcg-solution-agreement",
-        max_diff / scale,
-        1e-4,
-        max_diff / scale <= 1e-4,
-    ) {
-        eprintln!(
-            "PCG AGREEMENT FAILED: preconditioned and plain solutions diverge by {:.2e} \
-             (relative) — the preconditioned path is solving a different system",
-            max_diff / scale
-        );
-        failed = true;
-    }
-
-    // Gate 2: warm-started refinement never spends more CG iterations
+    // Gate 1: warm-started refinement never spends more CG iterations
     // than the default path and lands at the same refined stress.
     let run_refine = |config: &RefineConfig| {
         let mut positions = drifted(truth_1000, 12.0);
@@ -290,7 +162,7 @@ fn main() {
     let mds_1000_wall = t.elapsed();
     println!("metro-1000 sparse MDS-MAP: {mds_1000_wall:.1?}");
 
-    // Gate 3: the metro-2500 rung. Multi-source Dijkstra + blocked
+    // Gate 2: the metro-2500 rung. Multi-source Dijkstra + blocked
     // eigensolver keep sparse MDS-MAP in seconds; drifted refinement
     // exercises the matvec path at 2,500 nodes.
     let problem_2500 = presets::preset("metro-2500")
@@ -345,19 +217,19 @@ fn main() {
         failed = true;
     }
 
-    // Gate 4: the promoted CG counter reaches SolveStats through the
-    // fast preset (metro-250 keeps this cell cheap).
+    // Gate 3: the promoted CG counter reaches SolveStats through the
+    // served preset (metro-250 keeps this cell cheap).
     let problem_250 = presets::preset("metro-250")
         .expect("metro-250 is a preset")
         .instantiate(MASTER_SEED);
-    let solver = DistributedSolver::new(DistributedConfig::metro_fast());
+    let solver = DistributedSolver::new(DistributedConfig::metro());
     let mut rng = rl_math::rng::seeded(MASTER_SEED);
     let solution = solver
         .localize(&problem_250, &mut rng)
         .expect("metro-250 distributed solve");
     let dist_cg = solution.stats().cg_iterations;
     println!(
-        "distributed-lss (metro_fast) at metro-250: cg_iterations = {dist_cg:?}, \
+        "distributed-lss (metro) at metro-250: cg_iterations = {dist_cg:?}, \
          {} messages",
         solution.stats().iterations
     );
@@ -368,7 +240,7 @@ fn main() {
         dist_cg.is_some_and(|c| c > 0),
     ) {
         eprintln!(
-            "STATS GATE FAILED: distributed-lss with metro_fast reported cg_iterations = \
+            "STATS GATE FAILED: distributed-lss with metro reported cg_iterations = \
              {dist_cg:?} — the counter is not reaching SolveStats"
         );
         failed = true;
@@ -376,14 +248,12 @@ fn main() {
 
     let report = BenchReport {
         seed: MASTER_SEED,
-        plain_cg_iterations: plain.iterations,
-        ic0_cg_iterations: pcg.iterations,
         refine_default_cg_iterations: plain_refine.cg_iterations,
         refine_warm_cg_iterations: warm_refine.cg_iterations,
         mds_1000_wall_ms: mds_1000_wall.as_secs_f64() * 1e3,
         mds_2500_wall_ms: mds_2500_wall.as_secs_f64() * 1e3,
         refine_2500_wall_ms: refine_2500_wall.as_secs_f64() * 1e3,
-        distributed_fast_cg_iterations: dist_cg,
+        distributed_cg_iterations: dist_cg,
         gates,
     };
     let json = serde_json::to_string(&report).expect("report serializes");
@@ -399,7 +269,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "sparse kernel layer OK: IC(0) halves the tight-solve iterations, warm starts are \
-         never worse, metro-2500 stays inside its wall budgets"
+        "sparse kernel layer OK: warm starts are never worse, metro-2500 stays inside its \
+         wall budgets"
     );
 }

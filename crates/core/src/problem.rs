@@ -299,7 +299,7 @@ pub struct SolveStats {
     /// Cumulative inner conjugate-gradient iterations, for solvers whose
     /// refinement stage runs CG (distributed LSS, the tracking warm
     /// path); `None` for solvers with no CG inside. The `sparse_smoke`
-    /// CI bin reads this to gate the preconditioned-CG iteration win —
+    /// CI bin checks that `DistributedConfig::metro()` reports it —
     /// deliberately **not** part of any campaign fingerprint, which were
     /// pinned before the field existed.
     pub cg_iterations: Option<usize>,

@@ -162,15 +162,11 @@ impl TrackerConfig {
         }
     }
 
-    /// [`TrackerConfig::new`] plus the sparse-kernel acceleration on
-    /// the warm path: warm-started inner CG solves seeded from the
-    /// previous accepted Gauss–Newton delta (rescaled by a one-matvec
-    /// line search) — the natural fit for tracking, where consecutive
-    /// ticks solve nearly identical systems and CG's never-worse guard
-    /// makes the seed risk-free. Jacobi preconditioning is deliberately
-    /// not enabled: metro normal equations have a near-uniform diagonal
-    /// and Jacobi measured as a slight loss there (see
-    /// [`DistributedConfig::metro_fast`](crate::distributed::DistributedConfig::metro_fast)).
+    /// [`TrackerConfig::new`] with warm-started inner CG solves on the
+    /// warm path, each seeded from the previous accepted Gauss–Newton
+    /// delta (rescaled by a one-matvec line search) — the natural fit
+    /// for tracking, where consecutive ticks solve nearly identical
+    /// systems and CG's never-worse guard makes the seed risk-free.
     /// Same refinement problem as `new()`, but not bit-identical to it
     /// (the default path's solution fingerprints are pinned in
     /// `tests/tracking_golden.rs`), hence a separate opt-in preset.

@@ -667,6 +667,7 @@ impl Server {
             }
             match stream {
                 Ok(stream) => {
+                    reap_finished(&mut handlers);
                     let shared = Arc::clone(&self.shared);
                     handlers.push(std::thread::spawn(move || {
                         handle_connection(stream, &shared)
@@ -701,6 +702,15 @@ impl Server {
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.run());
         Ok((addr, handle))
+    }
+}
+
+/// Joins the connection handlers whose thread has already returned, so
+/// a long-lived server holds one handle (and one unjoined thread stack)
+/// per live connection rather than per connection ever accepted.
+fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
+    for h in handlers.extract_if(.., |h| h.is_finished()) {
+        let _ = h.join();
     }
 }
 
@@ -1293,6 +1303,24 @@ fn send_response(stream: &mut TcpStream, shared: &Shared, response: &Response) -
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn finished_connection_handlers_are_reaped() {
+        let (release, blocked) = mpsc::channel::<()>();
+        let mut handlers: Vec<JoinHandle<()>> = (0..3).map(|_| std::thread::spawn(|| {})).collect();
+        handlers.push(std::thread::spawn(move || {
+            let _ = blocked.recv();
+        }));
+        while handlers.iter().filter(|h| h.is_finished()).count() < 3 {
+            std::thread::yield_now();
+        }
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "only the live handler is kept");
+        release.send(()).unwrap();
+        for h in handlers {
+            h.join().unwrap();
+        }
+    }
 
     #[test]
     fn solver_registry_resolves_every_listed_name() {
