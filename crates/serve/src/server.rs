@@ -47,13 +47,16 @@
 //! [`Server::run`] blocks in the accept loop until a
 //! [`batch::Request::Shutdown`] arrives, then drains in-flight jobs,
 //! joins the workers and connection handlers, and returns. Connections
-//! are read with a short poll tick, so idle timeouts
-//! ([`ServeConfig::read_timeout`]) and shutdown both take effect
-//! promptly without a signal handler.
+//! are read with blocking [`protocol::read_frame`] calls under a socket
+//! read timeout ([`ServeConfig::read_timeout`]), so an idle peer is
+//! closed by the kernel's timer, not by polling. Every live connection
+//! is registered with the server; shutdown closes the read half of each,
+//! which wakes blocked readers with EOF while a request already in
+//! flight can still write its reply.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -74,14 +77,10 @@ use rl_net::RadioModel;
 
 use crate::cache::LruCache;
 use crate::protocol::{
-    self, batch, stream, ErrorCode, LocalizeReply, Request, Response, ServerStats, WireError,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    self, batch, stream, ErrorCode, FrameError, LocalizeReply, Request, Response, ServerStats,
+    WireError, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use crate::session::{Clock, SessionManager, SystemClock};
-
-/// Poll tick for connection reads: short enough that idle timeouts and
-/// shutdown are prompt, long enough to stay invisible in profiles.
-const READ_TICK: Duration = Duration::from_millis(25);
 
 /// The paper's 22 m ranging cutoff, used by the connectivity-based
 /// solver registry entries (DV-hop, centroid).
@@ -154,8 +153,8 @@ pub struct ServeConfig {
     /// Instantiated-[`Problem`] memo capacity (entries). Problems are
     /// much heavier than replies, so this is kept small.
     pub problem_capacity: usize,
-    /// Idle timeout per connection: a connection with no complete frame
-    /// for this long is closed.
+    /// Idle timeout per connection: a connection that receives no byte
+    /// for this long, mid-frame included, is closed without a reply.
     pub read_timeout: Duration,
     /// Maximum accepted frame size (bytes).
     pub max_frame: usize,
@@ -384,6 +383,9 @@ struct PresetEntry {
 
 struct Shared {
     config: ServeConfig,
+    /// The listener's bound address; shutdown connects to it once to
+    /// wake the blocking accept.
+    local_addr: SocketAddr,
     resolved_workers: usize,
     presets: Vec<PresetEntry>,
     /// The weighted-fair wheel (fixed at bind time).
@@ -396,6 +398,11 @@ struct Shared {
     cache: Mutex<LruCache<u64, Arc<LocalizeReply>>>,
     problems: Mutex<LruCache<(usize, u64), Arc<Problem>>>,
     sessions: SessionManager,
+    /// Live connections, keyed by accept order: a clone of each accepted
+    /// stream, so shutdown can close its read half. `None` once the
+    /// server is stopping; registering under this lock is what keeps a
+    /// connection from slipping in after the shutdown sweep.
+    connections: Mutex<Option<HashMap<u64, TcpStream>>>,
     stop: AtomicBool,
     requests: AtomicU64,
     cache_hits: AtomicU64,
@@ -463,6 +470,30 @@ impl Shared {
             .expect("problems lock")
             .insert((preset, seed), Arc::clone(&problem));
         problem
+    }
+
+    /// Registers an accepted connection for the shutdown sweep. `false`
+    /// when the server is already stopping (or the stream cannot be
+    /// cloned): the caller drops the connection instead of serving it.
+    fn register(&self, id: u64, stream: &TcpStream) -> bool {
+        let Ok(clone) = stream.try_clone() else {
+            return false;
+        };
+        match self.connections.lock().expect("connections lock").as_mut() {
+            Some(live) => {
+                live.insert(id, clone);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Drops a finished connection's registry clone; together with the
+    /// handler's own stream this closes the socket, so the peer sees FIN.
+    fn deregister(&self, id: u64) {
+        if let Some(live) = self.connections.lock().expect("connections lock").as_mut() {
+            live.remove(&id);
+        }
     }
 
     /// Counts and builds an [`ErrorCode::Overloaded`] rejection.
@@ -571,7 +602,6 @@ pub fn solve_direct(deployment: &str, solver: &str, seed: u64) -> Result<Localiz
 /// A bound, running localization server. See the module docs.
 pub struct Server {
     listener: TcpListener,
-    local_addr: SocketAddr,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -607,6 +637,7 @@ impl Server {
             config.session_mailbox,
         );
         let shared = Arc::new(Shared {
+            local_addr,
             resolved_workers,
             presets,
             wheel: schedule_wheel(config.batch_weight, config.stream_weight),
@@ -621,6 +652,7 @@ impl Server {
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
             problems: Mutex::new(LruCache::new(config.problem_capacity)),
             sessions,
+            connections: Mutex::new(Some(HashMap::new())),
             stop: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
@@ -639,7 +671,6 @@ impl Server {
             .collect();
         Ok(Server {
             listener,
-            local_addr,
             shared,
             workers,
         })
@@ -648,7 +679,7 @@ impl Server {
     /// The bound address (resolves port `0` to the actual ephemeral
     /// port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.local_addr
     }
 
     /// Serves connections until a [`batch::Request::Shutdown`] arrives,
@@ -661,16 +692,20 @@ impl Server {
     /// errors (which are logged to stderr and skipped).
     pub fn run(self) -> io::Result<()> {
         let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-        for stream in self.listener.incoming() {
+        for (id, stream) in (0u64..).zip(self.listener.incoming()) {
             if self.shared.stop.load(Ordering::SeqCst) {
                 break;
             }
             match stream {
                 Ok(stream) => {
                     reap_finished(&mut handlers);
+                    if !self.shared.register(id, &stream) {
+                        continue;
+                    }
                     let shared = Arc::clone(&self.shared);
                     handlers.push(std::thread::spawn(move || {
-                        handle_connection(stream, &shared)
+                        handle_connection(stream, &shared);
+                        shared.deregister(id);
                     }));
                 }
                 Err(e) => {
@@ -679,8 +714,8 @@ impl Server {
             }
         }
         // Shutdown: workers drain both queues (every accepted job
-        // answers its waiters), handlers notice the stop flag on their
-        // next read tick.
+        // answers its waiters); handlers already read EOF from the
+        // shutdown sweep, after writing any reply in flight.
         for w in self.workers {
             let _ = w.join();
         }
@@ -715,17 +750,25 @@ fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
 }
 
 /// Requests a shutdown: latches the queues (no further enqueues), wakes
-/// the workers, and pokes the accept loop awake with a throwaway
-/// connection.
-fn trigger_shutdown(shared: &Shared, local_addr: SocketAddr) {
+/// the workers, closes the read half of every live connection, and
+/// pokes the accept loop awake with a throwaway connection.
+///
+/// Only the read half: a blocked reader wakes with EOF, while a handler
+/// whose request is in flight still writes its reply before it reads
+/// that EOF. Shutting both halves would drop those replies.
+fn trigger_shutdown(shared: &Shared) {
     {
         let mut q = shared.queue.lock().expect("queue lock");
         q.shutdown = true;
     }
     shared.stop.store(true, Ordering::SeqCst);
     shared.queue_cv.notify_all();
+    let live = shared.connections.lock().expect("connections lock").take();
+    for stream in live.into_iter().flat_map(HashMap::into_values) {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
     // Unblock the blocking accept; the loop re-checks the stop flag.
-    let _ = TcpStream::connect(local_addr);
+    let _ = TcpStream::connect(shared.local_addr);
 }
 
 fn worker_loop(shared: &Shared) {
@@ -792,11 +835,27 @@ fn run_batch_job(shared: &Shared, job: BatchJob) {
 /// full one client-side.
 fn handle_localize(
     shared: &Shared,
+    negotiated: u32,
     deployment: &str,
     solver: &str,
     seed: u64,
     nodes: Option<&[u64]>,
 ) -> Response {
+    if negotiated < 2 && nodes.is_some() {
+        return Response::Error(WireError::new(
+            ErrorCode::UnsupportedProtocol,
+            format!(
+                "the `nodes` projection needs protocol v2; \
+                 this connection negotiated v{negotiated}"
+            ),
+        ));
+    }
+    if shared.stop.load(Ordering::SeqCst) {
+        return Response::Error(WireError::new(
+            ErrorCode::ShuttingDown,
+            "server is shutting down",
+        ));
+    }
     match localize_reply(shared, deployment, solver, seed) {
         Err(err) => Response::Error(err),
         Ok(reply) => match nodes {
@@ -1045,22 +1104,27 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     // No Nagle: the protocol is strict request/response with small
     // frames, so coalescing delay is pure added latency.
     if stream.set_nodelay(true).is_err()
-        || stream.set_read_timeout(Some(READ_TICK)).is_err()
+        || stream
+            .set_read_timeout(Some(shared.config.read_timeout))
+            .is_err()
         || stream
             .set_write_timeout(Some(shared.config.read_timeout))
             .is_err()
     {
         return;
     }
-    let local_addr = stream.local_addr().ok();
     // A connection that never sends Hello speaks the current protocol;
     // a Hello pins whatever both sides support (v1 connections are
     // batch-only — see the protocol module docs).
     let mut negotiated = PROTOCOL_VERSION;
     loop {
-        let payload = match read_frame_polled(&mut stream, shared) {
-            ReadOutcome::Frame(payload) => payload,
-            ReadOutcome::TooLarge(declared) => {
+        // The socket read timeout fires after `read_timeout` without a
+        // byte, mid-frame included; that, a clean close, the shutdown
+        // sweep's EOF and a transport error all end the connection
+        // without a reply.
+        let payload = match protocol::read_frame(&mut stream, shared.config.max_frame) {
+            Ok(Some(payload)) => payload,
+            Err(FrameError::TooLarge { declared, .. }) => {
                 // Typed rejection, then close: past an oversized length
                 // declaration the byte stream is unsynchronized.
                 let response = Response::Error(WireError::new(
@@ -1073,10 +1137,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 let _ = send_response(&mut stream, shared, &response);
                 return;
             }
-            ReadOutcome::Closed
-            | ReadOutcome::IdleTimeout
-            | ReadOutcome::Stopped
-            | ReadOutcome::Failed => return,
+            Ok(None) | Err(FrameError::Io(_)) => return,
         };
         let request: Request = match protocol::decode(&payload) {
             Ok(request) => request,
@@ -1108,7 +1169,28 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                     ))
                 }
             }
-            Request::Batch(request) => handle_batch(shared, request, negotiated, &mut stream),
+            Request::Batch(batch::Request::Shutdown) => {
+                // Ack first; shutdown is terminal for this connection.
+                let _ = send_response(&mut stream, shared, &batch::Response::ShuttingDown.into());
+                trigger_shutdown(shared);
+                return;
+            }
+            Request::Batch(batch::Request::Status) => {
+                batch::Response::Status(shared.stats()).into()
+            }
+            Request::Batch(batch::Request::Localize {
+                deployment,
+                solver,
+                seed,
+                nodes,
+            }) => handle_localize(
+                shared,
+                negotiated,
+                &deployment,
+                &solver,
+                seed,
+                nodes.as_deref(),
+            ),
             Request::Stream(request) => {
                 if negotiated < 2 {
                     Response::Error(WireError::new(
@@ -1149,146 +1231,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 }
             }
         };
-        // Shutdown is terminal for the connection: the ack was already
-        // written inside handle_batch.
-        let Some(response) = response_or_shutdown(response, shared, local_addr) else {
-            return;
-        };
         if !send_response(&mut stream, shared, &response) {
             return;
-        }
-    }
-}
-
-/// Marker wrapped around the shutdown acknowledgment so the connection
-/// loop knows to stop after triggering it.
-fn response_or_shutdown(
-    response: Response,
-    shared: &Shared,
-    local_addr: Option<SocketAddr>,
-) -> Option<Response> {
-    if matches!(response, Response::Batch(batch::Response::ShuttingDown)) {
-        if let Some(addr) = local_addr {
-            trigger_shutdown(shared, addr);
-        }
-        return None;
-    }
-    Some(response)
-}
-
-/// Dispatches one batch-namespace request.
-fn handle_batch(
-    shared: &Shared,
-    request: batch::Request,
-    negotiated: u32,
-    stream: &mut TcpStream,
-) -> Response {
-    match request {
-        batch::Request::Status => batch::Response::Status(shared.stats()).into(),
-        batch::Request::Shutdown => {
-            // Ack first (the caller tears the server down right after).
-            let ack: Response = batch::Response::ShuttingDown.into();
-            let _ = send_response(stream, shared, &ack);
-            ack
-        }
-        batch::Request::Localize {
-            deployment,
-            solver,
-            seed,
-            nodes,
-        } => {
-            if negotiated < 2 && nodes.is_some() {
-                Response::Error(WireError::new(
-                    ErrorCode::UnsupportedProtocol,
-                    format!(
-                        "the `nodes` projection needs protocol v2; \
-                         this connection negotiated v{negotiated}"
-                    ),
-                ))
-            } else if shared.stop.load(Ordering::SeqCst) {
-                Response::Error(WireError::new(
-                    ErrorCode::ShuttingDown,
-                    "server is shutting down",
-                ))
-            } else {
-                handle_localize(shared, &deployment, &solver, seed, nodes.as_deref())
-            }
-        }
-    }
-}
-
-/// Outcome of one polled frame read.
-enum ReadOutcome {
-    Frame(Vec<u8>),
-    /// Clean close between frames.
-    Closed,
-    /// No complete frame within the idle timeout.
-    IdleTimeout,
-    /// Declared length over the maximum (connection must close).
-    TooLarge(usize),
-    /// The server is shutting down.
-    Stopped,
-    /// Transport failure (reset, mid-frame close, …); nothing to answer.
-    Failed,
-}
-
-/// Reads one frame with a short poll tick so the idle timeout and the
-/// server-wide stop flag are both honored, even mid-frame.
-fn read_frame_polled(stream: &mut TcpStream, shared: &Shared) -> ReadOutcome {
-    use std::io::Read;
-    let max = shared.config.max_frame;
-    let idle_timeout = shared.config.read_timeout;
-    let mut idle = Duration::ZERO;
-    let mut buf: Vec<u8> = Vec::with_capacity(4);
-    let mut need = 4usize;
-    let mut in_payload = false;
-    let mut chunk = [0u8; 4096];
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return ReadOutcome::Stopped;
-        }
-        let want = (need - buf.len()).min(chunk.len());
-        match stream.read(&mut chunk[..want]) {
-            Ok(0) => {
-                return if buf.is_empty() && !in_payload {
-                    ReadOutcome::Closed
-                } else {
-                    // Closed mid-frame: transport failure, nothing to answer.
-                    ReadOutcome::Failed
-                };
-            }
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                idle = Duration::ZERO;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                idle += READ_TICK;
-                if idle >= idle_timeout {
-                    return ReadOutcome::IdleTimeout;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return ReadOutcome::Failed,
-        }
-        if !in_payload && buf.len() == 4 {
-            let declared = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-            if declared > max {
-                return ReadOutcome::TooLarge(declared);
-            }
-            if declared == 0 {
-                return ReadOutcome::Frame(Vec::new());
-            }
-            in_payload = true;
-            need = declared;
-            buf = Vec::with_capacity(declared);
-        } else if in_payload && buf.len() == need {
-            return ReadOutcome::Frame(buf);
         }
     }
 }

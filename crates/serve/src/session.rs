@@ -32,7 +32,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 use rl_core::tracking::{solution_fingerprint, StreamingTracker, TickObservation, Tracker};
@@ -126,7 +126,10 @@ struct SessionState {
 ///
 /// Lock order: the session map is always taken before any individual
 /// session's lock, and per-session work (tracker ticks) runs with the
-/// map lock released.
+/// map lock released. The eviction sweep holds the map lock, so it only
+/// `try_lock`s each session and skips one that is in use: a session
+/// mid-tick is not idle, and waiting on it would stall every other
+/// session's lookup behind that tick.
 pub struct SessionManager {
     clock: Arc<dyn Clock>,
     /// Idle eviction threshold; `Duration::ZERO` disables eviction.
@@ -373,8 +376,9 @@ impl SessionManager {
     }
 
     /// Evicts every session idle past the TTL. Sessions with reserved
-    /// mailbox slots are never evicted (their work is in flight). A
-    /// no-op when the TTL is zero.
+    /// mailbox slots, or whose lock is held (a tick or read is running),
+    /// are never evicted: their work is in flight. A no-op when the TTL
+    /// is zero.
     pub fn sweep(&self) {
         if self.ttl.is_zero() {
             return;
@@ -383,9 +387,12 @@ impl SessionManager {
         let mut sessions = self.sessions.lock().expect("session map poisoned");
         let expired: Vec<u64> = sessions
             .iter()
-            .filter(|(_, session)| {
-                let state = session.lock().expect("session poisoned");
-                state.pending == 0 && now.saturating_sub(state.last_active) >= self.ttl
+            .filter(|(_, session)| match session.try_lock() {
+                Ok(state) => {
+                    state.pending == 0 && now.saturating_sub(state.last_active) >= self.ttl
+                }
+                Err(TryLockError::WouldBlock) => false,
+                Err(TryLockError::Poisoned(_)) => panic!("session poisoned"),
             })
             .map(|(&token, _)| token)
             .collect();
@@ -638,6 +645,25 @@ mod tests {
         // A second open of the same identity gets a distinct token.
         let ta2 = a.open("same-identity", 4, tracker(7)).unwrap();
         assert_ne!(ta, ta2);
+    }
+
+    #[test]
+    fn sweep_skips_a_busy_session_instead_of_waiting_on_it() {
+        let (manager, _) = manager(Duration::from_secs(60), 0, 0);
+        let a = manager.open("a", 4, tracker(1)).unwrap();
+        let b = manager.open("b", 4, tracker(2)).unwrap();
+        let session_a = Arc::clone(&manager.sessions.lock().unwrap()[&a]);
+        // Holding A's state stands in for a tracker tick in flight.
+        let busy = session_a.lock().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reserved = std::thread::scope(|scope| {
+            scope.spawn(|| tx.send(manager.reserve(b, 1)).unwrap());
+            let reserved = rx.recv_timeout(Duration::from_secs(2));
+            drop(busy);
+            reserved
+        });
+        let reserved = reserved.expect("a push to B must not wait on A's tick");
+        assert_eq!(reserved.unwrap(), 4);
     }
 
     #[test]

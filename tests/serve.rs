@@ -4,7 +4,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use resilient_localization::serve::client::{Client, ClientError};
 use resilient_localization::serve::protocol::{
@@ -333,6 +333,75 @@ fn shutdown_is_acknowledged_and_later_connects_fail() {
             assert!(c.localize("parking-lot", "centroid", 1).is_err());
         }
     }
+}
+
+/// Joins the serving thread, failing if it takes longer than `limit`.
+fn join_within(handle: std::thread::JoinHandle<std::io::Result<()>>, limit: Duration) {
+    let deadline = Instant::now() + limit;
+    while !handle.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "server did not stop within {limit:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn shutdown_with_idle_connections_is_prompt() {
+    let (addr, handle) = Server::spawn(ServeConfig::default()).unwrap();
+    let idle: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    let mut idle_client = Client::connect(addr).unwrap();
+
+    // The default idle timeout is 30 s: only the shutdown sweep can end
+    // these connections in time.
+    let mut control = Client::connect(addr).unwrap();
+    control.shutdown().unwrap();
+    join_within(handle, Duration::from_secs(2));
+
+    for mut peer in idle {
+        // A bound on the read, so a connection left open fails the test
+        // instead of hanging it.
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut rest = Vec::new();
+        peer.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "idle peer must see a clean EOF");
+    }
+    idle_client
+        .set_reply_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    assert!(
+        idle_client.status().is_err(),
+        "the idle client's connection must be closed"
+    );
+}
+
+#[test]
+fn in_flight_requests_are_answered_across_shutdown() {
+    // One worker + a solve floor hold the request in flight while the
+    // shutdown arrives on another connection.
+    let config = ServeConfig::default()
+        .with_workers(1)
+        .with_solve_floor(Duration::from_millis(300));
+    let (addr, handle) = Server::spawn(config).unwrap();
+    let in_flight = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        client.localize("parking-lot", "centroid", 1)
+    });
+    let mut control = Client::connect(addr).unwrap();
+    while control.status().unwrap().solves_started < 1 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // `shutdown` succeeds only on a `ShuttingDown` ack.
+    control.shutdown().unwrap();
+
+    let reply = in_flight
+        .join()
+        .unwrap()
+        .expect("the in-flight request must still get its reply");
+    assert_reply_bitwise(&reply, &solve_direct("parking-lot", "centroid", 1).unwrap());
+    handle.join().unwrap().unwrap();
 }
 
 #[test]
