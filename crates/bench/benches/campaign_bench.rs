@@ -1,5 +1,5 @@
 //! Criterion bench for the sharded campaign runner: one multi-cell grid
-//! timed at several worker-pool sizes and both chunking granularities.
+//! timed at several worker-pool sizes.
 //!
 //! On multi-core hardware the `workers2`/`workers4` lines should beat
 //! `workers1` roughly linearly until the pool exceeds the core count (or
@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use rl_bench::campaign::{Campaign, CampaignConfig, Chunking};
+use rl_bench::campaign::{Campaign, CampaignConfig};
 use rl_core::baselines::CentroidLocalizer;
 use rl_core::multilateration::{MultilaterationConfig, MultilaterationSolver};
 use rl_deploy::Scenario;
@@ -45,15 +45,5 @@ fn bench_worker_scaling(c: &mut Criterion) {
     }
 }
 
-fn bench_chunking(c: &mut Criterion) {
-    let campaign = town_and_metro_grid();
-    let config = CampaignConfig::default()
-        .with_workers(4)
-        .with_chunking(Chunking::Cell);
-    c.bench_function("campaign/town+metro250_workers4_cellchunk", |b| {
-        b.iter(|| black_box(campaign.run_with(config)))
-    });
-}
-
-criterion_group!(benches, bench_worker_scaling, bench_chunking);
+criterion_group!(benches, bench_worker_scaling);
 criterion_main!(benches);

@@ -4,27 +4,50 @@
 //! cargo run --release -p rl-bench --bin campaign_smoke
 //! ```
 //!
-//! Executes a multi-cell (scenarios × localizers × seeds) grid four ways —
-//! serial, auto-sized pool, 4 workers with instance chunking, 4 workers
-//! with cell chunking — asserts all four reports are **bit-identical**
-//! (the determinism contract documented in `rl_bench::campaign`), and
-//! prints each schedule's end-to-end wall time plus the observed
-//! serial-vs-parallel speedup. Exits non-zero on any mismatch, so the
-//! release-mode parallel path is exercised and verified on every CI run.
+//! Executes a multi-cell (scenarios × localizers × seeds) grid three
+//! ways — serial, auto-sized pool, 4 workers — and gates on all three
+//! reports being **bit-identical** (`schedules-bit-identical`, the
+//! determinism contract documented in `rl_bench::campaign`). Each
+//! schedule's end-to-end wall time and the observed serial-vs-parallel
+//! speedup go to the `detail` of `BENCH_campaign.json`.
 //!
 //! The speedup line is informational, not a gate: the multi-core CI
 //! runner is where worker-pool scaling is actually observable (a 1-core
 //! dev container reports ~1×), so CI logs double as the scaling record
 //! the ROADMAP asks for.
 
-use rl_bench::campaign::{Campaign, CampaignConfig, Chunking};
+use std::process::ExitCode;
+
+use rl_bench::campaign::{Campaign, CampaignConfig};
+use rl_bench::gate::Gates;
 use rl_bench::MASTER_SEED;
 use rl_core::baselines::{CentroidLocalizer, DvHopLocalizer};
 use rl_core::multilateration::{MultilaterationConfig, MultilaterationSolver};
 use rl_deploy::Scenario;
 use rl_net::RadioModel;
+use serde::Serialize;
 
-fn main() {
+#[derive(Debug, Serialize)]
+struct ScheduleRecord {
+    schedule: &'static str,
+    workers: usize,
+    cells: usize,
+    wall_ms: f64,
+    fingerprint: String,
+}
+
+/// The `detail` of `BENCH_campaign.json`.
+#[derive(Debug, Serialize)]
+struct Detail {
+    seed: u64,
+    schedules: Vec<ScheduleRecord>,
+    /// Serial wall over the fastest multi-worker schedule's wall; `None`
+    /// when every schedule collapsed to one worker.
+    speedup: Option<f64>,
+}
+
+fn main() -> ExitCode {
+    let mut gates = Gates::new("campaign");
     let campaign = Campaign::new()
         .scenario(Scenario::town(MASTER_SEED))
         .scenario(Scenario::metro_sized(250, 0.10, MASTER_SEED))
@@ -35,66 +58,62 @@ fn main() {
         .localizer(Box::new(CentroidLocalizer::new(22.0)))
         .trials(MASTER_SEED, 2);
 
-    let schedules: [(&str, CampaignConfig); 4] = [
+    let schedules = [
         ("serial", CampaignConfig::serial()),
         ("auto", CampaignConfig::default()),
         ("workers4", CampaignConfig::default().with_workers(4)),
-        (
-            "workers4-cell",
-            CampaignConfig::default()
-                .with_workers(4)
-                .with_chunking(Chunking::Cell),
-        ),
     ];
-
-    let mut reference: Option<(u64, usize)> = None;
-    let mut serial_wall = None;
-    let mut best_parallel: Option<(&str, usize, f64)> = None;
-    for (label, config) in schedules {
+    let mut records = Vec::new();
+    for (schedule, config) in schedules {
         let report = campaign.run_with(config);
-        let fp = report.fingerprint();
-        let wall = report.total_wall.as_secs_f64();
+        let record = ScheduleRecord {
+            schedule,
+            workers: report.workers,
+            cells: report.runs.len(),
+            wall_ms: report.total_wall.as_secs_f64() * 1e3,
+            fingerprint: format!("{:#018x}", report.fingerprint()),
+        };
         println!(
-            "{label:14} workers={} cells={} wall={:.1} ms fingerprint={fp:#018x}",
-            report.workers,
-            report.runs.len(),
-            wall * 1e3,
+            "{schedule:14} workers={} cells={} wall={:.1} ms fingerprint={}",
+            record.workers, record.cells, record.wall_ms, record.fingerprint,
         );
-        if report.workers == 1 && serial_wall.is_none() {
-            serial_wall = Some(wall);
-        }
-        if report.workers > 1 && best_parallel.is_none_or(|(_, _, w)| wall < w) {
-            best_parallel = Some((label, report.workers, wall));
-        }
-        match reference {
-            None => reference = Some((fp, report.runs.len())),
-            Some((ref_fp, ref_cells)) => {
-                if fp != ref_fp || report.runs.len() != ref_cells {
-                    eprintln!(
-                        "DETERMINISM VIOLATION: schedule `{label}` produced \
-                         fingerprint {fp:#018x} ({} cells), expected \
-                         {ref_fp:#018x} ({ref_cells} cells)",
-                        report.runs.len()
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
+        records.push(record);
     }
+    let identical = records
+        .iter()
+        .all(|r| (&r.fingerprint, r.cells) == (&records[0].fingerprint, records[0].cells));
+    gates.holds(
+        "schedules-bit-identical",
+        identical,
+        "DETERMINISM VIOLATION: every schedule must reproduce the serial report's fingerprint \
+         and cell count (see the schedule lines above)",
+    );
 
     // Observed worker-pool scaling: only meaningful on a multi-core
     // runner (CI), where this line is the recorded evidence that the
     // sharded campaign actually speeds up end-to-end.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    match (serial_wall, best_parallel) {
-        (Some(serial), Some((label, workers, parallel))) => println!(
-            "serial-vs-parallel speedup: {:.2}x ({:.1} ms serial vs {:.1} ms `{label}` with \
-             {workers} workers on a {cores}-core runner)",
-            serial / parallel.max(1e-9),
-            serial * 1e3,
-            parallel * 1e3,
-        ),
-        _ => println!("serial-vs-parallel speedup: n/a (every schedule collapsed to one worker)"),
+    let serial_ms = records[0].wall_ms;
+    let best_parallel = records
+        .iter()
+        .filter(|r| r.workers > 1)
+        .min_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms));
+    let speedup = best_parallel.map(|p| {
+        let speedup = serial_ms / p.wall_ms.max(1e-6);
+        println!(
+            "serial-vs-parallel speedup: {speedup:.2}x ({serial_ms:.1} ms serial vs {:.1} ms `{}` \
+             with {} workers on a {cores}-core runner)",
+            p.wall_ms, p.schedule, p.workers,
+        );
+        speedup
+    });
+    if speedup.is_none() {
+        println!("serial-vs-parallel speedup: n/a (every schedule collapsed to one worker)");
     }
-    println!("all schedules bit-identical; parallel campaign path OK");
+
+    gates.finish(Detail {
+        seed: MASTER_SEED,
+        schedules: records,
+        speedup,
+    })
 }

@@ -8,6 +8,8 @@
 //!
 //! Tables print to stdout; CSV dumps land in `experiments/out/`.
 
+use std::process::ExitCode;
+
 use rl_bench::experiments::{self, ExperimentResult};
 use rl_bench::MASTER_SEED;
 
@@ -172,13 +174,13 @@ const EXPERIMENTS: &[(&str, &str, Runner)] = &[
     ),
 ];
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list") {
         for (id, desc, _) in EXPERIMENTS {
             println!("{id:14} {desc}");
         }
-        return;
+        return ExitCode::SUCCESS;
     }
     let selected: Vec<&(&str, &str, Runner)> = if args.is_empty() {
         EXPERIMENTS.iter().collect()
@@ -190,7 +192,7 @@ fn main() {
             .collect();
         if picked.is_empty() {
             eprintln!("no experiment matches {args:?}; try --list");
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
         picked
     };
@@ -217,6 +219,8 @@ fn main() {
         }
     }
     if failures > 0 {
-        std::process::exit(1);
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }

@@ -1,42 +1,51 @@
 //! Release-mode streaming-session gate; run by CI.
 //!
 //! ```text
-//! cargo run --release -p rl-serve --bin session_smoke
+//! cargo run --release -p rl-bench --bin session_smoke
 //! ```
 //!
-//! Exercises protocol v2's `stream` namespace end to end and enforces:
+//! Exercises protocol v2's `stream` namespace end to end and enforces,
+//! through the shared [`rl_bench::gate`] harness:
 //!
-//! 1. **Replay bit-identity** — a wire-driven session replaying the
+//! 1. **Replay bit-identity** (`replay-bit-identical-w1`,
+//!    `replay-bit-identical-w4`) — a wire-driven session replaying the
 //!    town mobility trace produces per-push solution fingerprints (and
 //!    final positions, compared at the `f64::to_bits` level) identical
 //!    to a directly-driven [`StreamingTracker`], for worker counts 1
 //!    and 4,
-//! 2. **Warm tick latency** — pushing the trace tick-by-tick over the
-//!    wire, every warm tick (tick 0, the cold solve, is excluded) must
-//!    come back under [`WARM_P99_BUDGET`] at the 99th percentile,
-//! 3. **Non-starvation** — with one worker, a solve floor, and a queue
-//!    full of batch jobs, interleaved stream ticks must drain *before*
-//!    the batch backlog does (the weighted-fair wheel alternates
-//!    classes), while every batch job still completes with a
-//!    bit-correct reply.
+//! 2. **Warm tick latency** (`warm-tick-p99-ms`) — pushing the trace
+//!    tick-by-tick over the wire, every warm tick (tick 0, the cold
+//!    solve, is excluded) must come back under [`WARM_P99_BUDGET`] at
+//!    the 99th percentile,
+//! 3. **Non-starvation** (`storm-backlog-formed`,
+//!    `storm-replies-bit-identical`, `stream-before-batch-drain`,
+//!    `storm-ticks-served`) — with one worker, a solve floor, and a
+//!    queue full of batch jobs, interleaved stream ticks must drain
+//!    *before* the batch backlog does (the weighted-fair wheel
+//!    alternates classes, sharing the pool), while every batch job still
+//!    completes with a bit-correct reply.
+//!
+//! A storm backlog that never forms fails `storm-backlog-formed` after
+//! [`WAIT_DEADLINE`], and the bin finishes at once instead of hanging.
 //!
 //! Warm-tick p50/p99 and the non-starvation timings are written to
 //! `BENCH_sessions.json` (uploaded as a CI artifact next to the other
 //! `BENCH_*.json` records).
 
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use rl_bench::gate::{percentile, positions_bit_identical, wait_until, Gates, WAIT_DEADLINE};
+use rl_bench::MASTER_SEED as SEED;
 use rl_core::tracking::{
     solution_fingerprint, StreamingTracker, TickObservation, Tracker, TrackerConfig,
 };
+use rl_core::types::NodeId;
 use rl_deploy::mobility;
 use rl_serve::protocol::stream::{StreamSource, TrackerSpec};
 use rl_serve::server::solve_direct;
 use rl_serve::{Client, ServeConfig, Server};
 use serde::Serialize;
-
-/// Seed used for every smoke stream (matches the campaign master seed).
-const SEED: u64 = 20050614;
 
 /// Ticks replayed from the town mobility trace.
 const TICKS: usize = 48;
@@ -60,8 +69,6 @@ struct LatencyRecord {
     universe: u64,
     cold_ms: f64,
     p50_ms: f64,
-    p99_ms: f64,
-    p99_budget_ms: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -74,13 +81,15 @@ struct StarvationRecord {
     batch_done_ms: f64,
 }
 
+/// The `detail` of `BENCH_sessions.json`; a phase the bin never reached
+/// stays `None`.
 #[derive(Debug, Serialize)]
-struct BenchReport {
+struct Detail {
     seed: u64,
     replay_worker_counts: Vec<usize>,
     replay_fingerprint: u64,
     latency: LatencyRecord,
-    starvation: StarvationRecord,
+    starvation: Option<StarvationRecord>,
 }
 
 /// The deterministic observation stream both sides of the parity
@@ -99,13 +108,8 @@ fn town_source() -> StreamSource {
     }
 }
 
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
-fn main() {
-    let mut failed = false;
+fn main() -> ExitCode {
+    let mut gates = Gates::new("sessions");
     let observations = town_stream();
 
     // The in-process reference tracker, fed the same trace.
@@ -128,44 +132,31 @@ fn main() {
         let mut session = client
             .open_stream(town_source(), TrackerSpec::default(), SEED)
             .expect("open session");
-        for (tick, obs) in observations.iter().enumerate() {
-            let reply = session.push(std::slice::from_ref(obs)).expect("push tick");
-            if reply.fingerprint != direct_prints[tick] {
-                eprintln!(
-                    "REPLAY DIVERGED: workers={workers} tick={tick}: wire fingerprint \
-                     {:#018x} != direct {:#018x}",
-                    reply.fingerprint, direct_prints[tick]
-                );
-                failed = true;
-            }
-        }
+        let diverged_ticks: Vec<usize> = observations
+            .iter()
+            .enumerate()
+            .filter(|&(tick, obs)| {
+                let reply = session.push(std::slice::from_ref(obs)).expect("push tick");
+                reply.fingerprint != direct_prints[tick]
+            })
+            .map(|(tick, _)| tick)
+            .collect();
         let read = session.read().expect("read solution");
-        for (i, served) in read.positions.iter().enumerate() {
-            let expected = direct_positions
-                .get(rl_core::types::NodeId(i))
-                .map(|p| (p.x, p.y));
-            let ok = match (served, &expected) {
-                (Some(a), Some(b)) => {
-                    a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits()
-                }
-                (None, None) => true,
-                _ => false,
-            };
-            if !ok {
-                eprintln!(
-                    "REPLAY DIVERGED: workers={workers}: node {i} served {served:?} but tracks \
-                     directly to {expected:?}"
-                );
-                failed = true;
-            }
-        }
+        let expected: Vec<Option<(f64, f64)>> = (0..read.positions.len())
+            .map(|i| direct_positions.get(NodeId(i)).map(|p| (p.x, p.y)))
+            .collect();
+        let positions_match = positions_bit_identical(&read.positions, &expected);
         session.close().expect("close session");
         client.shutdown().expect("shutdown");
         handle.join().expect("join").expect("serve");
-        println!(
-            "replay: workers={workers}: {} wire ticks bit-identical to the direct tracker \
-             (fingerprint {final_print:#018x})",
-            observations.len()
+        gates.holds(
+            &format!("replay-bit-identical-w{workers}"),
+            diverged_ticks.is_empty() && positions_match,
+            &format!(
+                "REPLAY DIVERGED: workers={workers}: wire fingerprints differ from the direct \
+                 tracker at ticks {diverged_ticks:?}; read-back positions bit-identical: \
+                 {positions_match}"
+            ),
         );
     }
 
@@ -194,23 +185,30 @@ fn main() {
     warm.sort();
     let p50 = percentile(&warm, 0.50);
     let p99 = percentile(&warm, 0.99);
-    let latency = LatencyRecord {
-        ticks: observations.len(),
-        universe,
-        cold_ms: cold.as_secs_f64() * 1e3,
-        p50_ms: p50.as_secs_f64() * 1e3,
-        p99_ms: p99.as_secs_f64() * 1e3,
-        p99_budget_ms: WARM_P99_BUDGET.as_secs_f64() * 1e3,
-    };
     println!(
         "latency: {} warm ticks over the wire at town scale ({universe} nodes): cold {cold:.2?}, \
-         p50 {p50:.2?}, p99 {p99:.2?} (budget {WARM_P99_BUDGET:.0?})",
+         p50 {p50:.2?}, p99 {p99:.2?}",
         warm.len()
     );
-    if p99 > WARM_P99_BUDGET {
-        eprintln!("WARM TICK BUDGET EXCEEDED: p99 {p99:.2?} > {WARM_P99_BUDGET:.0?}");
-        failed = true;
-    }
+    gates.at_most(
+        "warm-tick-p99-ms",
+        p99.as_secs_f64() * 1e3,
+        WARM_P99_BUDGET.as_secs_f64() * 1e3,
+        "ms",
+        "WARM TICK BUDGET EXCEEDED over the wire",
+    );
+    let mut detail = Detail {
+        seed: SEED,
+        replay_worker_counts,
+        replay_fingerprint: final_print,
+        latency: LatencyRecord {
+            ticks: observations.len(),
+            universe,
+            cold_ms: cold.as_secs_f64() * 1e3,
+            p50_ms: p50.as_secs_f64() * 1e3,
+        },
+        starvation: None,
+    };
 
     // Phase 3: non-starvation. One worker, a solve floor, and a storm
     // of distinct batch jobs; interleaved stream ticks must finish
@@ -236,12 +234,17 @@ fn main() {
         .collect();
     // Wait until the worker is occupied and a backlog exists, so the
     // stream ticks below genuinely compete with queued batch work.
-    loop {
+    let backlog = wait_until(WAIT_DEADLINE, || {
         let stats = control.status().expect("status");
-        if stats.solves_started >= 1 && stats.batch_queued >= (BATCH_STORM as u64) / 2 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
+        stats.solves_started >= 1 && stats.batch_queued >= (BATCH_STORM as u64) / 2
+    });
+    if !gates.holds(
+        "storm-backlog-formed",
+        backlog,
+        "the single worker never started the storm or no backlog queued — the server is wedged",
+    ) {
+        // The storm threads may never return; report without joining them.
+        return gates.finish(detail);
     }
     let mut session = control
         .open_stream(town_source(), TrackerSpec::default(), SEED)
@@ -251,77 +254,52 @@ fn main() {
     }
     let stream_done = started.elapsed();
     session.close().expect("close session");
-    let batch_done = storm
-        .into_iter()
-        .map(|t| {
-            let (seed, reply, finished) = t.join().expect("storm thread");
-            let direct = solve_direct("town", "centroid", seed).expect("direct storm solve");
-            if reply != direct {
-                eprintln!("NON-STARVATION BROKE BATCH: seed {seed} reply diverges from direct");
-                (true, finished)
-            } else {
-                (false, finished)
-            }
-        })
-        .fold(Duration::ZERO, |acc, (bad, finished)| {
-            if bad {
-                failed = true;
-            }
-            acc.max(finished.duration_since(started))
-        });
+    let mut bad_seeds = Vec::new();
+    let mut batch_done = Duration::ZERO;
+    for t in storm {
+        let (seed, reply, finished) = t.join().expect("storm thread");
+        if reply != solve_direct("town", "centroid", seed).expect("direct storm solve") {
+            bad_seeds.push(seed);
+        }
+        batch_done = batch_done.max(finished.duration_since(started));
+    }
     let stats = control.status().expect("status");
     control.shutdown().expect("shutdown");
     handle.join().expect("join").expect("serve");
-    let starvation = StarvationRecord {
-        workers: 1,
-        batch_jobs: BATCH_STORM,
-        stream_ticks: STORM_TICKS,
-        floor_ms: STORM_FLOOR.as_secs_f64() * 1e3,
-        stream_done_ms: stream_done.as_secs_f64() * 1e3,
-        batch_done_ms: batch_done.as_secs_f64() * 1e3,
-    };
     println!(
         "non-starvation: {STORM_TICKS} stream ticks drained in {stream_done:.2?} against \
          {BATCH_STORM} floored batch jobs (backlog drained in {batch_done:.2?}); \
          ticks_served={} solves={}",
         stats.ticks_served, stats.solves
     );
-    if stream_done >= batch_done {
-        eprintln!(
+    gates.holds(
+        "storm-replies-bit-identical",
+        bad_seeds.is_empty(),
+        &format!("NON-STARVATION BROKE BATCH: replies diverge from direct for seeds {bad_seeds:?}"),
+    );
+    gates.holds(
+        "stream-before-batch-drain",
+        stream_done < batch_done,
+        &format!(
             "STREAM STARVED: {STORM_TICKS} interleaved ticks took {stream_done:.2?}, not less \
              than the {batch_done:.2?} batch backlog drain"
-        );
-        failed = true;
-    }
-    if stats.ticks_served < STORM_TICKS as u64 {
-        eprintln!(
-            "TICKS LOST: served {} of {STORM_TICKS} storm ticks",
-            stats.ticks_served
-        );
-        failed = true;
-    }
-
-    let bench = BenchReport {
-        seed: SEED,
-        replay_worker_counts,
-        replay_fingerprint: final_print,
-        latency,
-        starvation,
-    };
-    let json = serde_json::to_string(&bench).expect("report serializes");
-    match std::fs::write("BENCH_sessions.json", &json) {
-        Ok(()) => println!("wrote BENCH_sessions.json ({} bytes)", json.len()),
-        Err(e) => {
-            eprintln!("FAILED to write BENCH_sessions.json: {e}");
-            failed = true;
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "streaming sessions: wire replay bit-identical for workers 1 and 4, warm ticks under \
-         {WARM_P99_BUDGET:.0?} p99, fair sharing against a floored batch storm"
+        ),
     );
+    gates.at_least(
+        "storm-ticks-served",
+        stats.ticks_served as f64,
+        STORM_TICKS as f64,
+        "count",
+        "TICKS LOST during the storm",
+    );
+    detail.starvation = Some(StarvationRecord {
+        workers: 1,
+        batch_jobs: BATCH_STORM,
+        stream_ticks: STORM_TICKS,
+        floor_ms: STORM_FLOOR.as_secs_f64() * 1e3,
+        stream_done_ms: stream_done.as_secs_f64() * 1e3,
+        batch_done_ms: batch_done.as_secs_f64() * 1e3,
+    });
+
+    gates.finish(detail)
 }

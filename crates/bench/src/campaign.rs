@@ -16,13 +16,13 @@
 //! Grid cells are independent by construction — each `(source, seed,
 //! localizer)` cell instantiates its problem from `(source, seed)` alone
 //! and derives a private RNG stream from `(seed, localizer index)` — so
-//! [`Campaign::run`] shards them across `std::thread` workers
-//! ([`CampaignConfig`] sets the pool size and the work-unit
-//! [`Chunking`]). The contract, asserted by `tests/determinism.rs` at the
-//! repository root and by the `campaign_smoke` release binary:
+//! [`Campaign::run`] shards its `(source, seed)` instances across the
+//! [`rl_net::pool`] workers ([`CampaignConfig`] sets the pool size). The
+//! contract, asserted by `tests/determinism.rs` at the repository root
+//! and by the `campaign_smoke` release binary:
 //!
 //! **Same campaign, same seeds ⇒ a bit-identical [`CampaignReport`],
-//! regardless of worker count or chunking.** Records land in canonical
+//! regardless of worker count.** Records land in canonical
 //! grid order (source-major, then seed, then localizer) no matter which
 //! worker ran them or when it finished, and no cell's randomness depends
 //! on scheduling. Only the wall-clock fields ([`RunRecord::wall_time`],
@@ -50,13 +50,13 @@
 //! println!("{}", report.summary_table());
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use rl_core::eval::Evaluation;
 use rl_core::problem::{Localizer, Problem, Solution};
 use rl_core::{LocalizationError, LssConfig, LssSolver, MultilaterationConfig};
 use rl_deploy::Scenario;
+use rl_net::pool::{par_map_indexed, resolve_workers};
 
 use crate::report::m;
 use crate::Table;
@@ -88,70 +88,26 @@ impl ProblemSource {
     }
 }
 
-/// How [`Campaign::run_with`] groups grid cells into work units for the
-/// worker pool.
-///
-/// Either choice yields the identical [`CampaignReport`] (the problem a
-/// cell sees is a pure function of `(source, seed)`); they trade
-/// instantiation cost against scheduling granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Chunking {
-    /// One `(source, seed)` instance per unit: the problem is instantiated
-    /// once and every localizer in the campaign runs on it. Cheapest in
-    /// total work (mirrors the serial execution exactly) and the right
-    /// default when the grid has at least as many instances as workers.
-    #[default]
-    Instance,
-    /// One `(source, seed, localizer)` cell per unit: each cell
-    /// re-instantiates its problem, buying maximum scheduling granularity.
-    /// Worth it when a few slow localizers dominate an otherwise small
-    /// grid (e.g. one scenario, eight algorithms).
-    Cell,
-}
-
 /// Execution knobs for [`Campaign::run_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CampaignConfig {
     /// Worker threads. `0` (the default) resolves to the machine's
     /// available parallelism; the pool is never larger than the number of
-    /// work units.
+    /// `(source, seed)` instances.
     pub workers: usize,
-    /// How cells are grouped into work units.
-    pub chunking: Chunking,
 }
 
 impl CampaignConfig {
-    /// Single-threaded execution (one worker, instance chunking) — the
-    /// reference schedule every parallel run must reproduce bit-for-bit.
+    /// Single-threaded execution — the reference schedule every parallel
+    /// run must reproduce bit-for-bit.
     pub fn serial() -> Self {
-        CampaignConfig {
-            workers: 1,
-            chunking: Chunking::Instance,
-        }
+        CampaignConfig { workers: 1 }
     }
 
     /// Sets the worker count (builder style). `0` means "ask the OS".
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
-    }
-
-    /// Sets the chunking granularity (builder style).
-    pub fn with_chunking(mut self, chunking: Chunking) -> Self {
-        self.chunking = chunking;
-        self
-    }
-
-    /// The effective pool size for `units` work units.
-    fn resolve_workers(&self, units: usize) -> usize {
-        let requested = if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        requested.clamp(1, units.max(1))
     }
 }
 
@@ -240,86 +196,34 @@ impl Campaign {
         } else {
             &self.seeds
         };
-        let n_loc = self.localizers.len();
         let instances = self.sources.len() * seeds.len();
-        let units = match config.chunking {
-            Chunking::Instance => instances,
-            Chunking::Cell => instances * n_loc,
-        };
-        let workers = config.resolve_workers(units);
+        let workers = resolve_workers(config.workers, instances);
         let started = Instant::now();
-
-        let mut indexed: Vec<(usize, RunRecord)> = if workers <= 1 {
-            let mut out = Vec::with_capacity(instances * n_loc);
-            for unit in 0..units {
-                self.execute_unit(unit, config.chunking, seeds, &mut out);
-            }
-            out
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let unit = next.fetch_add(1, Ordering::Relaxed);
-                                if unit >= units {
-                                    break;
-                                }
-                                self.execute_unit(unit, config.chunking, seeds, &mut local);
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("campaign worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Scheduling decided only who computed what; canonical grid order
-        // is restored here so the report is schedule-independent.
-        indexed.sort_by_key(|(cell, _)| *cell);
+        // The pool returns instances in index order whatever the schedule,
+        // and each instance's records come in localizer order, so the
+        // flattened records are already in canonical grid order.
+        let runs = par_map_indexed(instances, workers, |instance| {
+            self.run_instance(instance, seeds)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         CampaignReport {
-            runs: indexed.into_iter().map(|(_, r)| r).collect(),
+            runs,
             workers,
             total_wall: started.elapsed(),
         }
     }
 
-    /// Executes one work unit, pushing `(canonical cell index, record)`
-    /// pairs. A unit is one problem instance (all localizers) under
-    /// [`Chunking::Instance`], or a single cell under [`Chunking::Cell`].
-    fn execute_unit(
-        &self,
-        unit: usize,
-        chunking: Chunking,
-        seeds: &[u64],
-        out: &mut Vec<(usize, RunRecord)>,
-    ) {
-        let n_loc = self.localizers.len();
-        match chunking {
-            Chunking::Instance => {
-                let source = &self.sources[unit / seeds.len()];
-                let seed = seeds[unit % seeds.len()];
-                let problem = source.instantiate(seed);
-                for li in 0..n_loc {
-                    let record = self.run_cell(&problem, source.name(), seed, li);
-                    out.push((unit * n_loc + li, record));
-                }
-            }
-            Chunking::Cell => {
-                let (instance, li) = (unit / n_loc, unit % n_loc);
-                let source = &self.sources[instance / seeds.len()];
-                let seed = seeds[instance % seeds.len()];
-                let problem = source.instantiate(seed);
-                out.push((unit, self.run_cell(&problem, source.name(), seed, li)));
-            }
-        }
+    /// Instantiates one `(source, seed)` problem and runs every localizer
+    /// on it.
+    fn run_instance(&self, instance: usize, seeds: &[u64]) -> Vec<RunRecord> {
+        let source = &self.sources[instance / seeds.len()];
+        let seed = seeds[instance % seeds.len()];
+        let problem = source.instantiate(seed);
+        (0..self.localizers.len())
+            .map(|li| self.run_cell(&problem, source.name(), seed, li))
+            .collect()
     }
 
     /// Runs one localizer on one instantiated problem, timing the cell.
@@ -485,7 +389,7 @@ impl CampaignReport {
     /// record's identity, solution positions (bit-exact), solver stats
     /// (minus wall time), evaluations, and error messages. Two runs of the
     /// same campaign agree on this fingerprint **iff** they reproduced
-    /// each other — regardless of worker count, chunking, or scheduling.
+    /// each other — regardless of worker count or scheduling.
     /// Wall-clock fields and [`CampaignReport::workers`] are excluded.
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a via the shared `rl_math::fingerprint` machinery (stable
@@ -709,7 +613,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_and_chunking_never_change_the_report() {
+    fn worker_count_never_changes_the_report() {
         let campaign = Campaign::new()
             .scenario(Scenario::parking_lot(11))
             .scenario(Scenario::town(11))
@@ -722,12 +626,6 @@ mod tests {
         for config in [
             CampaignConfig::default(),
             CampaignConfig::default().with_workers(4),
-            CampaignConfig::default()
-                .with_workers(4)
-                .with_chunking(Chunking::Cell),
-            CampaignConfig::default()
-                .with_workers(3)
-                .with_chunking(Chunking::Cell),
         ] {
             let parallel = campaign.run_with(config);
             assert_eq!(

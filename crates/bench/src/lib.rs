@@ -44,6 +44,10 @@
 //! solver-comparison experiments above are built on it, and the `METRO`
 //! experiment pushes it to 1000-node deployments.
 //!
+//! The [`gate`] module is the harness every release smoke bin in
+//! `src/bin/` (the CI gates) reports through: named checks against
+//! bounds, and one shared `BENCH_<bin>.json` record schema.
+//!
 //! ```
 //! use rl_bench::campaign::{Campaign, CampaignConfig};
 //! use rl_core::baselines::CentroidLocalizer;
@@ -72,9 +76,10 @@
 
 pub mod campaign;
 pub mod experiments;
+pub mod gate;
 pub mod report;
 
-pub use campaign::{Campaign, CampaignConfig, CampaignReport, Chunking};
+pub use campaign::{Campaign, CampaignConfig, CampaignReport};
 pub use report::Table;
 
 /// The master seed all experiments derive their RNG streams from, so the

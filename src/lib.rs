@@ -91,7 +91,7 @@ pub use rl_signal as signal;
 /// the two-parameter form alongside the glob import should name
 /// `std::result::Result` explicitly.
 pub mod prelude {
-    pub use rl_bench::campaign::{Campaign, CampaignConfig, CampaignReport, Chunking};
+    pub use rl_bench::campaign::{Campaign, CampaignConfig, CampaignReport};
     pub use rl_core::baselines::{CentroidLocalizer, DvHopLocalizer};
     pub use rl_core::distributed::{DistributedConfig, DistributedSolver};
     pub use rl_core::eval::{evaluate_absolute, evaluate_against_truth, Evaluation};
